@@ -60,9 +60,10 @@ impl std::fmt::Debug for CoreObserver {
 /// finishes and observers are detached, then [`SampleBackend::fill`] to fold
 /// the backend's results into the assembled [`Profile`].
 ///
-/// During a streaming session the pump thread additionally calls
-/// [`SampleBackend::drain`] periodically while the workload runs (and once
-/// more after `stop`), turning whatever accumulated since the previous call
+/// During a streaming session the coordinator pump worker additionally
+/// calls [`SampleBackend::drain`] periodically while the workload runs (and
+/// once more after `stop`) on every backend that hands out no
+/// [`ShardDrainer`]s, turning whatever accumulated since the previous call
 /// into window-stamped [`SampleBatch`]es for the event bus. Backends that
 /// only report at the end keep the default no-op.
 pub trait SampleBackend: Send {

@@ -15,9 +15,7 @@
 //! address samples, hardware counters); sinks
 //! ([`crate::sink::AnalysisSink`]) turn the finished run into the paper's
 //! analysis levels. When no backends or sinks are registered explicitly, the
-//! session derives the paper's defaults from the [`NmoConfig`] flags, so
-//! `ProfileSession` is a strict superset of the deprecated
-//! [`crate::runtime::Profiler`] flow.
+//! session derives the paper's defaults from the [`NmoConfig`] flags.
 //!
 //! For callers that drive the machine directly (attaching engines from their
 //! own threads), [`ProfileSession::start`] returns an [`ActiveSession`]
@@ -27,10 +25,11 @@
 //!
 //! [`ProfileSession::run_streaming`] (and the manual
 //! [`ProfileSession::start_streaming`]) turn the session into an online
-//! pipeline: a *pump* thread periodically drains every backend into
-//! window-stamped [`crate::stream::SampleBatch`]es on a bounded
-//! [`crate::stream::EventBus`], and a *consumer* thread feeds them to the
-//! sinks' streaming hooks as the workload runs. [`ActiveSession::poll_snapshot`]
+//! pipeline: *pump workers* periodically drain every backend into
+//! window-stamped [`crate::stream::SampleBatch`]es on the lanes of a bounded
+//! [`crate::stream::ShardedBus`], and one *shard consumer* per lane feeds
+//! them to the sinks' shard workers as the workload runs (one shard is just
+//! the narrowest width of the same pipeline). [`ActiveSession::poll_snapshot`]
 //! exposes a live readout ([`StreamSnapshot`]) while collection is active —
 //! the mode a long-running service is profiled in, where waiting for the
 //! workload to exit is not an option.
@@ -48,7 +47,10 @@ use crate::annotate::Annotations;
 use crate::backend::{CounterBackend, SampleBackend, ShardDrainer, SpeBackend};
 use crate::config::NmoConfig;
 use crate::runtime::Profile;
-use crate::sink::{default_sinks, run_sinks, AnalysisSink, ShardState, SinkShard, StreamContext};
+use crate::sink::{
+    default_sinks, merge_window_states, run_sinks, AnalysisSink, ShardState, SinkShard,
+    StreamContext,
+};
 use crate::stream::adaptive::AdaptiveRuntime;
 use crate::stream::{
     BatchPayload, BatchPool, BusEvent, BusRecv, EventBus, SampleBatch, ShardedBus, SnapshotState,
@@ -360,12 +362,12 @@ impl ProfileSession {
     ///
     /// The pipeline runs with [`StreamOptions::shards`] shards (`0` = auto:
     /// `min(profiled cores, available_parallelism)`; explicit values are
-    /// clamped to the profiled core count). At one shard this is the
-    /// classic serial pipeline — one pump thread, one consumer thread; at N
-    /// shards it is N pump workers draining disjoint core sets onto N bus
-    /// lanes, N shard consumers running [`SinkShard`] workers, and a
-    /// deterministic (shard-index-ordered) merge back into the registered
-    /// sinks. With [`StreamOptions::adaptive`] set, an
+    /// clamped to the profiled core count): N pump workers draining disjoint
+    /// core sets onto N bus lanes, N shard consumers running [`SinkShard`]
+    /// workers, and a deterministic (shard-index-ordered) merge back into the
+    /// registered sinks. One shard is the same pipeline at width one — the
+    /// coordinator worker then drains every backend itself. With
+    /// [`StreamOptions::adaptive`] set, an
     /// [`crate::stream::adaptive::AdaptiveController`] additionally tunes
     /// the *active* shard count, drain cadence, and backpressure policy at
     /// runtime.
@@ -420,153 +422,122 @@ impl ProfileSession {
             machine: Some(active.session.machine.clone()),
         };
 
-        let (pumps, consumers, merger) = if shards == 1 {
-            // The classic serial pipeline. The adaptive controller still
-            // runs when configured — with one allocated shard it can only
-            // tune the drain cadence and backpressure policy.
-            let pump = {
-                let machine = active.session.machine.clone();
-                let bus = bus.clone();
-                let stop = stop.clone();
-                let opts = opts.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                std::thread::spawn(move || {
-                    pump_loop(machine, backends, bus, stop, opts, pool, adaptive)
-                })
-            };
-            let consumer = {
-                let lane = bus.lane(0).clone();
-                let snapshot = snapshot.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                std::thread::spawn(move || {
-                    consumer_loop(sinks, lane, snapshot, ctx, pool, adaptive)
-                })
-            };
-            (vec![pump], vec![ConsumerHandle::Serial(consumer)], None)
-        } else {
-            // The sharded pipeline. Parent sinks see the stream start, then
-            // hand out one worker per shard (legacy sinks keep `None` slots
-            // and are fed serially through the merger mutex). A panicking
-            // sink surfaces as a sink error here, mirroring the serial
-            // path's catch in `consumer_loop` (dropping `active` unwinds
-            // the backends cleanly — no pumps have been spawned yet).
-            let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for sink in &mut sinks {
-                    sink.on_stream_start(&ctx);
-                }
-            }));
-            if started.is_err() {
-                return Err(NmoError::sink("stream-start", "sink panicked in on_stream_start"));
-            }
-            let mut shard_workers: Vec<ShardWorkerSet> =
-                (0..shards).map(|_| Vec::with_capacity(sinks.len())).collect();
+        // Parent sinks see the stream start, then hand out one worker per
+        // shard (legacy sinks keep `None` slots and are fed through the
+        // merger mutex). A panicking sink surfaces as a sink error here
+        // (dropping `active` unwinds the backends cleanly — no pumps have
+        // been spawned yet).
+        let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for sink in &mut sinks {
-                match sink.as_shardable() {
-                    Some(shardable) => {
-                        for (shard, workers) in shard_workers.iter_mut().enumerate() {
-                            workers.push(Some(shardable.make_shard(shard, &ctx)));
-                        }
+                sink.on_stream_start(&ctx);
+            }
+        }));
+        if started.is_err() {
+            return Err(NmoError::sink("stream-start", "sink panicked in on_stream_start"));
+        }
+        let mut shard_workers: Vec<ShardWorkerSet> =
+            (0..shards).map(|_| Vec::with_capacity(sinks.len())).collect();
+        for sink in &mut sinks {
+            match sink.as_shardable() {
+                Some(shardable) => {
+                    for (shard, workers) in shard_workers.iter_mut().enumerate() {
+                        workers.push(Some(shardable.make_shard(shard, &ctx)));
                     }
-                    None => {
-                        for workers in shard_workers.iter_mut() {
-                            workers.push(None);
-                        }
+                }
+                None => {
+                    for workers in shard_workers.iter_mut() {
+                        workers.push(None);
                     }
                 }
             }
-            let merger = Arc::new(Mutex::named(
-                MergerState {
-                    sinks,
-                    pending: std::collections::BTreeMap::new(),
-                    legacy_close_counts: std::collections::BTreeMap::new(),
-                },
-                "session.merger",
-            ));
+        }
+        let merger = Arc::new(Mutex::named(
+            MergerState {
+                sinks,
+                pending: std::collections::BTreeMap::new(),
+                legacy_close_counts: std::collections::BTreeMap::new(),
+            },
+            "session.merger",
+        ));
 
-            // Partition the backends' drain work: shardable backends hand
-            // out per-shard workers; the rest stay on the coordinator.
-            let mut per_shard_drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
-                (0..shards).map(|_| Vec::new()).collect();
-            let mut classic = Vec::with_capacity(backends.len());
-            let mut seeded_sources = Vec::new();
-            for backend in &mut backends {
-                let drainers = backend.shard_drainers(shards);
-                classic.push(drainers.is_empty());
-                if drainers.is_empty() {
-                    // Coordinator-drained backend: its own source list.
-                    seeded_sources.extend(backend.stream_sources());
-                }
-                for drainer in drainers {
-                    // Worker-drained: each worker declares the sources it
-                    // covers (its slice of the backend's core set).
-                    seeded_sources.extend(drainer.sources());
-                    let shard = drainer.shard();
-                    per_shard_drainers[shard.min(shards - 1)].push(drainer);
-                }
+        // Partition the backends' drain work: shardable backends hand
+        // out per-shard workers; the rest stay on the coordinator.
+        let mut per_shard_drainers: Vec<Vec<Box<dyn ShardDrainer>>> =
+            (0..shards).map(|_| Vec::new()).collect();
+        let mut classic = Vec::with_capacity(backends.len());
+        let mut seeded_sources = Vec::new();
+        for backend in &mut backends {
+            let drainers = backend.shard_drainers(shards);
+            classic.push(drainers.is_empty());
+            if drainers.is_empty() {
+                // Coordinator-drained backend: its own source list.
+                seeded_sources.extend(backend.stream_sources());
             }
-
-            let coordinator = Arc::new(Mutex::named(
-                CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
-                "session.coordinator",
-            ));
-            let final_round = Arc::new(AtomicBool::new(false));
-            let workers_done = Arc::new(AtomicUsize::new(0));
-
-            // Shard `s`'s drainers live in shared slot `s` instead of being
-            // owned by worker `s`: at active width `k`, worker `w < k`
-            // drains every slot `s` with `s % k == w`, so parked workers'
-            // cores keep flowing through the active ones (at full width the
-            // assignment is the identity and each worker only ever touches
-            // its own slot).
-            let slots: Arc<DrainerSlots> = Arc::new(
-                per_shard_drainers
-                    .into_iter()
-                    .map(|drainers| Mutex::named(drainers, "session.drainers"))
-                    .collect(),
-            );
-
-            let mut pumps = Vec::with_capacity(shards);
-            let mut backends_slot = Some((backends, classic));
-            for shard in 0..shards {
-                // The coordinator (shard 0) owns the backends: it drains the
-                // non-shardable ones, runs the machine probes, and drives
-                // the stop sequence.
-                let owned = if shard == 0 { backends_slot.take() } else { None };
-                let worker = PumpWorker {
-                    shard,
-                    machine: active.session.machine.clone(),
-                    backends: owned,
-                    slots: slots.clone(),
-                    bus: bus.clone(),
-                    coordinator: coordinator.clone(),
-                    stop: stop.clone(),
-                    final_round: final_round.clone(),
-                    workers_done: workers_done.clone(),
-                    total_workers: shards,
-                    pool: pool.clone(),
-                    opts: opts.clone(),
-                    adaptive: adaptive.clone(),
-                };
-                pumps.push(std::thread::spawn(move || worker.run()));
+            for drainer in drainers {
+                // Worker-drained: each worker declares the sources it
+                // covers (its slice of the backend's core set).
+                seeded_sources.extend(drainer.sources());
+                let shard = drainer.shard();
+                per_shard_drainers[shard.min(shards - 1)].push(drainer);
             }
+        }
 
-            let mut consumers = Vec::with_capacity(shards);
-            for (shard, workers) in shard_workers.into_iter().enumerate() {
-                let lane = bus.lane(shard).clone();
-                let merger = merger.clone();
-                let snapshot = snapshot.clone();
-                let pool = pool.clone();
-                let adaptive = adaptive.clone();
-                consumers.push(ConsumerHandle::Shard(std::thread::spawn(move || {
-                    shard_consumer_loop(
-                        shard, shards, lane, workers, merger, snapshot, pool, adaptive,
-                    )
-                })));
-            }
-            (pumps, consumers, Some(merger))
-        };
+        let coordinator = Arc::new(Mutex::named(
+            CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded_sources),
+            "session.coordinator",
+        ));
+        let final_round = Arc::new(AtomicBool::new(false));
+        let workers_done = Arc::new(AtomicUsize::new(0));
+
+        // Shard `s`'s drainers live in shared slot `s` instead of being
+        // owned by worker `s`: at active width `k`, worker `w < k`
+        // drains every slot `s` with `s % k == w`, so parked workers'
+        // cores keep flowing through the active ones (at full width the
+        // assignment is the identity and each worker only ever touches
+        // its own slot).
+        let slots: Arc<DrainerSlots> = Arc::new(
+            per_shard_drainers
+                .into_iter()
+                .map(|drainers| Mutex::named(drainers, "session.drainers"))
+                .collect(),
+        );
+
+        let mut pumps = Vec::with_capacity(shards);
+        let mut backends_slot = Some((backends, classic));
+        for shard in 0..shards {
+            // The coordinator (shard 0) owns the backends: it drains the
+            // non-shardable ones, runs the machine probes, and drives
+            // the stop sequence.
+            let owned = if shard == 0 { backends_slot.take() } else { None };
+            let worker = PumpWorker {
+                shard,
+                machine: active.session.machine.clone(),
+                backends: owned,
+                slots: slots.clone(),
+                bus: bus.clone(),
+                coordinator: coordinator.clone(),
+                stop: stop.clone(),
+                final_round: final_round.clone(),
+                workers_done: workers_done.clone(),
+                total_workers: shards,
+                pool: pool.clone(),
+                opts: opts.clone(),
+                adaptive: adaptive.clone(),
+            };
+            pumps.push(std::thread::spawn(move || worker.run()));
+        }
+
+        let mut consumers = Vec::with_capacity(shards);
+        for (shard, workers) in shard_workers.into_iter().enumerate() {
+            let lane = bus.lane(shard).clone();
+            let merger = merger.clone();
+            let snapshot = snapshot.clone();
+            let pool = pool.clone();
+            let adaptive = adaptive.clone();
+            consumers.push(std::thread::spawn(move || {
+                shard_consumer_loop(shard, shards, lane, workers, merger, snapshot, pool, adaptive)
+            }));
+        }
 
         active.streaming = Some(StreamingState {
             bus,
@@ -631,23 +602,15 @@ impl ProfileSession {
 /// produced.
 type PumpOutcome = (Option<CoordinatorBackends>, Result<(), NmoError>);
 
-/// One consumer thread's join handle: the serial consumer owns the sinks
-/// themselves; a shard consumer owns one `SinkShard` worker per shardable
-/// sink (the parent sinks live in the merger).
-enum ConsumerHandle {
-    Serial(JoinHandle<Vec<Box<dyn AnalysisSink>>>),
-    Shard(JoinHandle<ShardWorkerSet>),
-}
-
 /// One shard consumer's sink workers, index-aligned with the session's
-/// sinks (`None` = legacy sink, fed serially through the merger).
+/// sinks (`None` = legacy sink, fed through the merger mutex).
 type ShardWorkerSet = Vec<Option<Box<dyn SinkShard>>>;
 
 /// The coordinator pump's cargo: the session's backends plus the flags
 /// marking which of them it drains classically (no shard workers).
 type CoordinatorBackends = (Vec<Box<dyn SampleBackend>>, Vec<bool>);
 
-/// The shared drain-slot table of a sharded session: slot `s` holds shard
+/// The shared drain-slot table of a streaming session: slot `s` holds shard
 /// `s`'s [`ShardDrainer`]s. At active width `k`, pump worker `w < k` drains
 /// every slot `s` with `s % k == w`; workers `w ≥ k` are parked. The
 /// per-slot mutex makes the hand-off across a width change safe — two
@@ -661,8 +624,8 @@ type DrainerSlots = Vec<Mutex<Vec<Box<dyn ShardDrainer>>>>;
 const CONSUMER_RECV_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Sinks plus in-flight per-window shard states, shared between the shard
-/// consumers of a sharded session. Also the serialisation point for legacy
-/// (non-shardable) sinks.
+/// consumers of a streaming session. Also the serialisation point for
+/// legacy (non-shardable) sinks.
 struct MergerState {
     sinks: Vec<Box<dyn AnalysisSink>>,
     /// `(sink index, window index)` → states delivered so far, tagged with
@@ -681,8 +644,8 @@ struct StreamingState {
     stop: Arc<AtomicBool>,
     snapshot: Arc<Mutex<SnapshotState>>,
     pumps: Vec<JoinHandle<PumpOutcome>>,
-    consumers: Vec<ConsumerHandle>,
-    merger: Option<Arc<Mutex<MergerState>>>,
+    consumers: Vec<JoinHandle<ShardWorkerSet>>,
+    merger: Arc<Mutex<MergerState>>,
     /// Allocated shard count after resolution/clamping.
     shards: usize,
     /// Shard count the caller configured (0 = auto).
@@ -789,7 +752,7 @@ impl ActiveSession {
     /// [`ProfileSessionBuilder::stream_options`].
     ///
     /// On a streaming session this returns an error: there the registered
-    /// tracker sink actuates by itself on the consumer thread.
+    /// tracker sink actuates by itself at each per-window shard merge.
     pub fn tiering_step(
         &mut self,
         tracker: &mut crate::tiering::HotPageTracker,
@@ -866,60 +829,44 @@ impl ActiveSession {
                 // clean path.)
                 streaming.bus.close_all();
 
+                // Joined in shard order, so `shard_workers` is ascending.
                 let mut consumer_panicked = false;
-                let mut shard_workers: Vec<(usize, ShardWorkerSet)> = Vec::new();
-                for (shard, consumer) in streaming.consumers.into_iter().enumerate() {
-                    match consumer {
-                        ConsumerHandle::Serial(handle) => match handle.join() {
-                            Ok(sinks) => self.session.sinks = sinks,
-                            Err(_) => consumer_panicked = true,
-                        },
-                        ConsumerHandle::Shard(handle) => match handle.join() {
-                            Ok(workers) => shard_workers.push((shard, workers)),
-                            Err(_) => consumer_panicked = true,
-                        },
+                let mut shard_workers: Vec<ShardWorkerSet> = Vec::new();
+                for consumer in streaming.consumers {
+                    match consumer.join() {
+                        Ok(workers) => shard_workers.push(workers),
+                        Err(_) => consumer_panicked = true,
                     }
                 }
 
-                if let Some(merger) = streaming.merger {
-                    let mut merger = merger.lock();
-                    let mut sinks = std::mem::take(&mut merger.sinks);
-                    if !consumer_panicked && !pump_panicked {
-                        // Merge any per-window states that never completed
-                        // (defensive: the shutdown close-broadcast normally
-                        // drains them), then the shards' final states —
-                        // both in ascending shard order.
-                        let leftovers = std::mem::take(&mut merger.pending);
-                        for ((sink_index, index), mut states) in leftovers {
-                            states.sort_by_key(|(shard, _)| *shard);
-                            let window =
-                                WindowClock::new(self.session.stream_options.window_ns.max(1))
-                                    .window(index);
-                            if let Some(shardable) = sinks[sink_index].as_shardable() {
-                                shardable.merge_window(
-                                    window,
-                                    states.into_iter().map(|(_, s)| s).collect(),
-                                );
-                            }
-                        }
-                        shard_workers.sort_by_key(|(shard, _)| *shard);
-                        let sink_count = sinks.len();
-                        for sink_index in 0..sink_count {
-                            let states: Vec<ShardState> = shard_workers
-                                .iter_mut()
-                                .filter_map(|(_, workers)| workers[sink_index].take())
-                                .map(|worker| worker.finish())
-                                .collect();
-                            if states.is_empty() {
-                                continue;
-                            }
-                            if let Some(shardable) = sinks[sink_index].as_shardable() {
-                                shardable.merge_final(states);
-                            }
+                let mut merger = streaming.merger.lock();
+                let mut sinks = std::mem::take(&mut merger.sinks);
+                if !consumer_panicked && !pump_panicked {
+                    // Merge any per-window states that never completed
+                    // (defensive: the shutdown close-broadcast normally
+                    // drains them), then the shards' final states — both in
+                    // ascending shard order.
+                    let clock = WindowClock::new(self.session.stream_options.window_ns.max(1));
+                    for ((sink_index, index), states) in std::mem::take(&mut merger.pending) {
+                        merge_window_states(
+                            sinks[sink_index].as_mut(),
+                            clock.window(index),
+                            states,
+                        );
+                    }
+                    for (sink_index, sink) in sinks.iter_mut().enumerate() {
+                        let states: Vec<ShardState> = shard_workers
+                            .iter_mut()
+                            .filter_map(|workers| workers[sink_index].take())
+                            .map(|worker| worker.finish())
+                            .collect();
+                        if let Some(shardable) = sink.as_shardable() {
+                            shardable.merge_final(states);
                         }
                     }
-                    self.session.sinks = sinks;
                 }
+                drop(merger);
+                self.session.sinks = sinks;
 
                 let backends = match backends {
                     Some((backends, _classic)) => backends,
@@ -1020,9 +967,9 @@ fn source_marks(batch: &SampleBatch) -> Vec<(StreamSource, u64)> {
 /// per-source watermark — a window only closes once every recently active,
 /// timestamp-carrying source has moved past it (e.g. the SPE aux watermark
 /// publishes in bursts that lag the RSS probe, and closing on the global
-/// maximum alone would make every SPE burst arrive late). In sharded mode
-/// the workers mark their sources under the mutex after publishing; only
-/// the coordinator closes windows (broadcasting the close to every lane).
+/// maximum alone would make every SPE burst arrive late). The workers mark
+/// their sources under the mutex after publishing; only the coordinator
+/// closes windows (broadcasting the close to every lane).
 struct CloseCoordinator {
     clock: WindowClock,
     open_windows: std::collections::BTreeSet<u64>,
@@ -1122,111 +1069,7 @@ fn publish_batch(batch: SampleBatch, bus: &ShardedBus, coordinator: &Mutex<Close
     coordinator.lock().note_published(window_index, &marks);
 }
 
-/// The serial producer (single-shard pipeline): one pump thread drains
-/// every backend (plus the machine-level RSS/bandwidth probes) into
-/// window-stamped batches, advances the watermark, and closes completed
-/// windows. On stop: stop the backends (joining the SPE monitor), publish
-/// the final remainder, close every open window, and close the bus.
-fn pump_loop(
-    machine: Arc<Machine>,
-    mut backends: Vec<Box<dyn SampleBackend>>,
-    bus: Arc<ShardedBus>,
-    stop: Arc<AtomicBool>,
-    opts: StreamOptions,
-    pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
-) -> PumpOutcome {
-    let seeded = backends.iter().flat_map(|b| b.stream_sources()).collect();
-    let coordinator = Mutex::named(
-        CloseCoordinator::new(WindowClock::new(opts.window_ns), seeded),
-        "session.coordinator",
-    );
-    let mut rss_cursor = 0usize;
-    let mut result: Result<(), NmoError> = Ok(());
-
-    loop {
-        coordinator.lock().tick += 1;
-        let stopping = stop.load(Ordering::Acquire);
-        if stopping {
-            // Observers are detached by now; join the SPE monitor and run
-            // the backends' final synchronous drains into their stores, so
-            // the drain below sees everything.
-            for backend in &mut backends {
-                if let Err(e) = backend.stop(&machine) {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-        // Observer flushing is each backend's own job inside `drain` (the
-        // SPE backend nudges its idle cores there); busy cores publish on
-        // the aux watermark, or the workload thread calls
-        // `Engine::flush_observer` itself.
-
-        let clock = coordinator.lock().clock;
-        for backend in &mut backends {
-            match backend.drain(&machine, &clock, &pool) {
-                Ok(batches) => {
-                    for batch in batches {
-                        publish_batch(batch, &bus, &coordinator);
-                    }
-                }
-                Err(e) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-
-        // Machine probe: new RSS step events since the previous tick.
-        let fresh = machine.rss_events_since(rss_cursor);
-        if !fresh.is_empty() {
-            rss_cursor += fresh.len();
-            for (window, points) in clock.group_by_window(fresh, |p| p.time_ns) {
-                publish_batch(
-                    SampleBatch::new("machine", None, window, BatchPayload::Rss { points }),
-                    &bus,
-                    &coordinator,
-                );
-            }
-        }
-
-        if stopping {
-            // Bandwidth buckets only become readable once the workload's
-            // engines have returned their cores; deliver the full series as
-            // the final tick, one batch per window.
-            let bw = machine.bandwidth_series();
-            for (window, points) in clock.group_by_window(bw, |p| p.time_ns) {
-                publish_batch(
-                    SampleBatch::new("machine", None, window, BatchPayload::Bandwidth { points }),
-                    &bus,
-                    &coordinator,
-                );
-            }
-            coordinator.lock().close_remaining(&bus);
-            bus.close_all();
-            return (Some((backends, Vec::new())), result);
-        }
-
-        coordinator.lock().close_ready_windows(&bus);
-        // With one allocated shard the controller can only tune the drain
-        // cadence and the backpressure policy; rate-limited inside.
-        if let Some(adaptive) = &adaptive {
-            let _ = adaptive.control(&bus);
-        }
-
-        // Drain cadence: the pump samples the backends at the configured
-        // wall-clock interval (the controller's current cadence when
-        // adaptive); nothing signals "new simulated work".
-        let poll = adaptive.as_ref().map(|a| a.poll_interval()).unwrap_or(opts.poll_interval);
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(poll);
-    }
-}
-
-/// One pump worker of the sharded pipeline. The worker for shard 0 is the
+/// One pump worker of the streaming pipeline. The worker for shard 0 is the
 /// *coordinator*: it owns the backends (draining the non-shardable ones),
 /// runs the machine probes, closes ready windows, runs the adaptive
 /// controller, and drives the shutdown sequence — stop the backends, signal
@@ -1431,8 +1274,10 @@ impl PumpWorker {
                     let _ = adaptive.control(&self.bus);
                 }
             }
-            // Drain cadence, as in the serial pump above; adaptive sessions
-            // follow the controller's current cadence.
+            // Drain cadence: the workers sample the backends at the
+            // configured wall-clock interval (nothing signals "new simulated
+            // work"); adaptive sessions follow the controller's current
+            // cadence.
             let poll = self
                 .adaptive
                 .as_ref()
@@ -1444,81 +1289,7 @@ impl PumpWorker {
     }
 }
 
-/// The consumer side of a streaming session: deliver bus events to the
-/// sinks' streaming hooks (in bus order) and keep the shared snapshot state
-/// current for [`ActiveSession::poll_snapshot`].
-///
-/// A panicking sink must not kill the thread outright: under
-/// [`crate::stream::BackpressurePolicy::Block`] a dead consumer would leave
-/// the pump wedged in `publish` forever (and `finish` wedged joining it).
-/// Instead the panic is caught, the loop keeps draining (discarding) until
-/// the bus closes, and the panic is rethrown so the join in
-/// [`ActiveSession::finish`] surfaces it as an error.
-fn consumer_loop(
-    mut sinks: Vec<Box<dyn AnalysisSink>>,
-    lane: Arc<EventBus>,
-    snapshot: Arc<Mutex<SnapshotState>>,
-    ctx: StreamContext,
-    pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
-) -> Vec<Box<dyn AnalysisSink>> {
-    let mut panic_payload = None;
-    let dispatch = |sinks: &mut Vec<Box<dyn AnalysisSink>>,
-                    event: &BusEvent,
-                    panic_payload: &mut Option<Box<dyn std::any::Any + Send>>| {
-        if panic_payload.is_some() {
-            return;
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for sink in sinks.iter_mut() {
-                match event {
-                    BusEvent::Batch(batch) => sink.on_batch(batch),
-                    BusEvent::CloseWindow(window) => sink.on_window_close(*window),
-                }
-            }
-        }));
-        if let Err(payload) = result {
-            *panic_payload = Some(payload);
-        }
-    };
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        for sink in &mut sinks {
-            sink.on_stream_start(&ctx);
-        }
-    })) {
-        panic_payload = Some(payload);
-    }
-    loop {
-        match lane.recv_timeout(CONSUMER_RECV_TIMEOUT) {
-            BusRecv::Event(event) => {
-                {
-                    let mut snap = snapshot.lock();
-                    match &event {
-                        BusEvent::Batch(batch) => snap.record_batch(batch, 0),
-                        BusEvent::CloseWindow(window) => snap.record_close(*window, 1),
-                    }
-                }
-                dispatch(&mut sinks, &event, &mut panic_payload);
-                // The batch's buffers go back to the pool for the next
-                // drain (the zero-copy recycle step).
-                if let BusEvent::Batch(batch) = event {
-                    pool.recycle_batch(batch);
-                }
-            }
-            BusRecv::TimedOut => {
-                if let Some(adaptive) = &adaptive {
-                    adaptive.note_consumer_idle(0);
-                }
-            }
-            BusRecv::Closed => match panic_payload {
-                Some(payload) => std::panic::resume_unwind(payload),
-                None => return sinks,
-            },
-        }
-    }
-}
-
-/// One shard consumer of the sharded pipeline: it drains its lane, feeds
+/// One shard consumer of the streaming pipeline: it drains its lane, feeds
 /// its [`SinkShard`] workers lock-free, serialises legacy sinks through the
 /// merger mutex, and delivers per-window shard states to the merger (the
 /// shard whose delivery completes a window performs that window's merge, in
@@ -1596,7 +1367,7 @@ fn dispatch_shard_event(
                 }
             }
             if any_legacy {
-                // Serial fallback: legacy sinks see every batch, serialised
+                // Legacy fallback: legacy sinks see every batch, serialised
                 // under the merger lock (per-lane order preserved).
                 let mut merger = merger.lock();
                 let merger = &mut *merger;
@@ -1616,17 +1387,8 @@ fn dispatch_shard_event(
                 let entry = merger.pending.entry((index, window.index)).or_default();
                 entry.push((shard, state));
                 if entry.len() == shard_count {
-                    let mut states = std::mem::take(entry);
-                    merger.pending.remove(&(index, window.index));
-                    states.sort_by_key(|(s, _)| *s);
-                    let states = states.into_iter().map(|(_, state)| state).collect();
-                    merger.sinks[index]
-                        .as_shardable()
-                        // unwrap-ok: a `ShardWorker` is only constructed for
-                        // sinks whose `as_shardable()` returned Some at
-                        // session start; the sink set is immutable after.
-                        .expect("shard workers only exist for shardable sinks")
-                        .merge_window(*window, states);
+                    let states = merger.pending.remove(&(index, window.index)).unwrap_or_default();
+                    merge_window_states(merger.sinks[index].as_mut(), *window, states);
                 }
             }
             {
@@ -1634,8 +1396,8 @@ fn dispatch_shard_event(
                 // every lane has processed its copy of the broadcast — by
                 // then each lane's on-time batches for the window have been
                 // forwarded (they precede the close in lane order), so the
-                // PR 2 close-after-on-time-data contract holds for legacy
-                // sinks under sharding too.
+                // close-after-on-time-data contract holds for legacy sinks
+                // at every width.
                 let mut merger = merger.lock();
                 let merger = &mut *merger;
                 let seen = merger.legacy_close_counts.entry(window.index).or_insert(0);
@@ -1885,6 +1647,62 @@ mod tests {
             .unwrap();
         let err = session.run_streaming_with(stream_like).unwrap_err();
         assert!(matches!(err, NmoError::Sink { .. }), "{err}");
+    }
+
+    /// A legacy (non-shardable) sink is fed through the merger mutex at
+    /// every width: it sees every published batch, and each window close
+    /// exactly once.
+    #[test]
+    fn legacy_sink_sees_every_batch_and_each_close_once() {
+        #[derive(Default)]
+        struct Seen {
+            batches: u64,
+            closes: std::collections::BTreeMap<u64, u64>,
+        }
+        struct CountingSink(Arc<Mutex<Seen>>);
+        impl crate::sink::AnalysisSink for CountingSink {
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+            fn analyze(
+                &mut self,
+                _machine: &Machine,
+                _profile: &Profile,
+            ) -> Result<crate::sink::AnalysisReport, NmoError> {
+                Ok(crate::sink::AnalysisReport::Text(String::new()))
+            }
+            fn on_batch(&mut self, _batch: &SampleBatch) {
+                self.0.lock().batches += 1;
+            }
+            fn on_window_close(&mut self, window: crate::stream::Window) {
+                *self.0.lock().closes.entry(window.index).or_insert(0) += 1;
+            }
+        }
+        for shards in [1, 2] {
+            let seen = Arc::new(Mutex::named(Seen::default(), "test.seen"));
+            let profile = ProfileSession::builder()
+                .machine_config(MachineConfig::small_test())
+                .config(NmoConfig::paper_default(100))
+                .threads(2)
+                .sink(CountingSink(seen.clone()))
+                .stream_options(crate::stream::StreamOptions {
+                    window_ns: 20_000,
+                    shards,
+                    backpressure: crate::stream::BackpressurePolicy::Block,
+                    ..Default::default()
+                })
+                .build()
+                .unwrap()
+                .run_streaming_with(stream_like)
+                .unwrap();
+            let stats = profile.stream.expect("streaming run records pipeline stats");
+            assert_eq!(stats.shards, shards as u64);
+            let seen = seen.lock();
+            assert!(seen.batches > 0 && stats.windows_closed > 1, "{stats:?}");
+            assert_eq!(seen.batches, stats.batches_published, "shards={shards}");
+            assert!(seen.closes.values().all(|&n| n == 1), "shards={shards}: {:?}", seen.closes);
+            assert_eq!(seen.closes.len() as u64, stats.windows_closed, "shards={shards}");
+        }
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! Sinks consume data in one of two ways:
 //!
 //! * **Streaming** (the primary path): during a
-//!   [`crate::session::ProfileSession::run_streaming`] run the consumer
-//!   thread feeds every [`SampleBatch`] to [`AnalysisSink::on_batch`] and
-//!   signals completed windows via [`AnalysisSink::on_window_close`]; at the
-//!   end [`AnalysisSink::finish`] assembles the report from the
-//!   incrementally merged state.
+//!   [`crate::session::ProfileSession::run_streaming`] run every
+//!   [`ShardableSink`] hands one [`SinkShard`] worker to each pipeline shard;
+//!   the shard consumers feed them their lane's [`SampleBatch`]es and window
+//!   closes, the states merge back in ascending shard order, and at the end
+//!   [`AnalysisSink::finish`] assembles the report from the merged state.
+//!   Sinks that are not shardable receive every batch and close through
+//!   [`AnalysisSink::on_batch`] / [`AnalysisSink::on_window_close`] instead.
 //! * **Post-hoc** (the compatibility adapter): a plain
 //!   [`crate::session::ProfileSession::run`] delivers no batches, so the
 //!   default [`AnalysisSink::finish`] implementation falls back to
@@ -155,13 +157,20 @@ pub trait AnalysisSink: Send {
     /// aggregate incrementally latch the context here.
     fn on_stream_start(&mut self, _ctx: &StreamContext) {}
 
-    /// Streaming: one window-stamped batch arrived. Called from the
-    /// session's consumer thread, in bus order.
+    /// Streaming, non-shardable sinks only: one window-stamped batch
+    /// arrived. Called from a shard consumer under the session's merger
+    /// mutex (per-lane order preserved, cross-lane interleaving
+    /// unspecified). Sinks that return `Some` from
+    /// [`AnalysisSink::as_shardable`] are fed through their
+    /// [`SinkShard`] workers and never see this hook.
     fn on_batch(&mut self, _batch: &SampleBatch) {}
 
-    /// Streaming: the producer watermark passed `window`; no further
-    /// on-time data will arrive for it (late batches are still delivered
-    /// through [`AnalysisSink::on_batch`] and counted by the session).
+    /// Streaming, non-shardable sinks only: the producer watermark passed
+    /// `window`; no further on-time data will arrive for it (late batches
+    /// are still delivered through [`AnalysisSink::on_batch`] and counted by
+    /// the session). Delivered exactly once per window, after every lane
+    /// forwarded its on-time batches. Shardable sinks see closes through
+    /// [`SinkShard::on_window_close`] instead.
     fn on_window_close(&mut self, _window: Window) {}
 
     /// Produce the final report. The default adapter re-expresses the
@@ -172,12 +181,13 @@ pub trait AnalysisSink: Send {
         self.analyze(machine, profile)
     }
 
-    /// The sharded-pipeline seam: sinks that can aggregate per shard return
-    /// themselves as a [`ShardableSink`] here. The default `None` is the
-    /// serial-fallback adapter — a sharded session feeds such a sink every
-    /// batch through a serialising mutex instead (per-lane order preserved,
-    /// cross-lane interleaving unspecified), so pre-sharding sinks compile
-    /// and run unchanged.
+    /// The streaming seam: sinks that can aggregate per shard return
+    /// themselves as a [`ShardableSink`] here, and the session then feeds
+    /// them only through their [`SinkShard`] workers. The default `None` is
+    /// the legacy adapter — the session feeds such a sink every batch and
+    /// close through [`AnalysisSink::on_batch`] /
+    /// [`AnalysisSink::on_window_close`] under a serialising mutex, so
+    /// pre-sharding sinks compile and run unchanged.
     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
         None
     }
@@ -263,7 +273,7 @@ pub trait SinkShard: Send {
 ///     }
 ///
 ///     // Opt into sharding; without this override the session would fall
-///     // back to feeding the sink serially.
+///     // back to feeding the sink through its `on_batch` hook.
 ///     fn as_shardable(&mut self) -> Option<&mut dyn ShardableSink> {
 ///         Some(self)
 ///     }
@@ -309,12 +319,27 @@ pub trait ShardableSink {
     fn merge_final(&mut self, states: Vec<ShardState>);
 }
 
+/// The per-window shard merge rule, shared by the live session and trace
+/// replay: order one window's `(shard, state)` pairs by ascending shard
+/// index and hand the states to the sink's [`ShardableSink::merge_window`].
+/// Legacy sinks never produce shard states, so they are left alone.
+pub(crate) fn merge_window_states(
+    sink: &mut dyn AnalysisSink,
+    window: Window,
+    mut states: Vec<(usize, ShardState)>,
+) {
+    states.sort_by_key(|(shard, _)| *shard);
+    if let Some(shardable) = sink.as_shardable() {
+        shardable.merge_window(window, states.into_iter().map(|(_, state)| state).collect());
+    }
+}
+
 /// Level 1: temporal capacity usage (paper Section VI-A, Figure 2), split
 /// per memory node on tiered topologies.
 ///
-/// Streaming: merges the RSS tick batches into a step-event list and
-/// resamples at [`AnalysisSink::finish`]; post-hoc: scans the machine's
-/// recorded RSS series.
+/// Streaming: its shards collect the RSS tick batches into a step-event
+/// list, merged and resampled at [`AnalysisSink::finish`]; post-hoc: scans
+/// the machine's recorded RSS series.
 #[derive(Debug, Clone)]
 pub struct CapacitySink {
     /// Number of evenly spaced output samples.
@@ -359,12 +384,6 @@ impl AnalysisSink for CapacitySink {
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
         self.stream_geometry = Some((ctx.capacity_bytes, ctx.mem_nodes));
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::Rss { points } = batch.payload() {
-            self.events.extend_from_slice(points);
-        }
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
@@ -413,7 +432,7 @@ impl ShardableSink for CapacitySink {
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
         // Shard order fixes the concatenation; `finish` sorts by timestamp
-        // anyway, so the merged series equals the serial one.
+        // anyway, so the merged series does not depend on the shard count.
         for state in states {
             // unwrap-ok: `merge_final` only receives states built by this
             // sink's own `make_shard`, which always boxes Vec<RssPoint>.
@@ -426,9 +445,9 @@ impl ShardableSink for CapacitySink {
 /// Level 2: temporal bandwidth usage (paper Section VI-B, Figure 3), split
 /// per memory node on tiered topologies.
 ///
-/// Streaming: merges bandwidth tick batches per bucket (deliveries for the
-/// same bucket sum their bytes, per node — the windowed merge); post-hoc:
-/// scans the machine's aggregated bucket series.
+/// Streaming: its shards merge bandwidth tick batches per bucket
+/// (deliveries for the same bucket sum their bytes, per node — the windowed
+/// merge); post-hoc: scans the machine's aggregated bucket series.
 #[derive(Debug, Clone, Default)]
 pub struct BandwidthSink {
     /// Merged bus bytes per bucket *index*, split per memory node (points
@@ -466,18 +485,6 @@ impl AnalysisSink for BandwidthSink {
 
     fn on_stream_start(&mut self, ctx: &StreamContext) {
         self.stream_geometry = Some((ctx.bucket_ns.max(1), ctx.mem_nodes));
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        let Some((bucket_ns, _)) = self.stream_geometry else { return };
-        if let BatchPayload::Bandwidth { points } = batch.payload() {
-            for p in points {
-                let merged = self.merged.entry(p.time_ns / bucket_ns).or_insert([0; MAX_MEM_NODES]);
-                for (node, bytes) in p.by_node.iter().enumerate() {
-                    merged[node] += bytes;
-                }
-            }
-        }
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
@@ -541,8 +548,8 @@ impl ShardableSink for BandwidthSink {
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Per-bucket sums are exact integers, so the shard merge equals the
-        // serial merge regardless of how deliveries were split.
+        // Per-bucket sums are exact integers, so the merge does not depend
+        // on how deliveries were split across shards.
         for state in states {
             let merged = state
                 .downcast::<BTreeMap<u64, [u64; MAX_MEM_NODES]>>()
@@ -561,14 +568,13 @@ impl ShardableSink for BandwidthSink {
 
 /// Level 3: memory-region attribution (paper Section VI-C, Figures 4–6).
 ///
-/// Streaming: buffers each window's SPE samples and attributes them when the
-/// window closes (so phases bracketing the window are usually final),
-/// merging into a running [`RegionAccumulator`]; post-hoc: one attribution
-/// scan over the profile's samples.
+/// Streaming: its shards buffer each window's SPE samples and attribute them
+/// when the window closes (so phases bracketing the window are usually
+/// final), and their [`RegionAccumulator`]s merge at the end; post-hoc: one
+/// attribution scan over the profile's samples.
 #[derive(Debug, Default)]
 pub struct RegionSink {
     accum: RegionAccumulator,
-    pending: BTreeMap<u64, Vec<crate::runtime::AddressSample>>,
     annotations: Option<Arc<Annotations>>,
 }
 
@@ -576,12 +582,6 @@ impl RegionSink {
     /// A fresh region sink.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ingest_window(&mut self, index: u64) {
-        let Some(samples) = self.pending.remove(&index) else { return };
-        let Some(ann) = &self.annotations else { return };
-        self.accum.ingest(&samples, &ann.tags(), &ann.phases());
     }
 }
 
@@ -602,24 +602,9 @@ impl AnalysisSink for RegionSink {
         self.annotations = Some(ctx.annotations.clone());
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            self.pending.entry(batch.window.index).or_default().extend_from_slice(samples);
-        }
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        self.ingest_window(window.index);
-    }
-
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         if self.annotations.is_none() {
             return self.analyze(machine, profile);
-        }
-        // Merge any windows that never saw a close signal.
-        let open: Vec<u64> = self.pending.keys().copied().collect();
-        for index in open {
-            self.ingest_window(index);
         }
         let accum = std::mem::take(&mut self.accum);
         Ok(AnalysisReport::Regions(accum.finalize(&profile.tags)))
@@ -679,9 +664,9 @@ impl ShardableSink for RegionSink {
     }
 
     fn merge_final(&mut self, states: Vec<ShardState>) {
-        // Per-sample attribution is independent, so counts equal the serial
-        // path's; scatter order is shard-major (deterministic by the fixed
-        // merge order, though different from the serial interleaving).
+        // Per-sample attribution is independent, so counts equal the
+        // post-hoc scan's; scatter order is shard-major (deterministic by the
+        // fixed merge order, though different from the post-hoc order).
         for state in states {
             // unwrap-ok: states come from this sink's own `make_shard`,
             // which always boxes a RegionAccumulator.
@@ -695,7 +680,7 @@ impl ShardableSink for RegionSink {
 /// one streaming log2-bucket histogram per SPE data source, with
 /// interpolated p50/p90/p99.
 ///
-/// Streaming: folds every sample of every batch into the per-source
+/// Streaming: its shards fold every sample of every batch into per-source
 /// histograms as it arrives (O(1) state per source — nothing is buffered);
 /// post-hoc: one scan over the profile's samples. The histograms are
 /// order-independent, so both paths produce identical reports.
@@ -730,14 +715,6 @@ impl AnalysisSink for LatencySink {
         self.streaming = true;
     }
 
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        if let BatchPayload::SpeSamples { samples, .. } = batch.payload() {
-            for s in samples {
-                self.profile.record(s.source, s.latency);
-            }
-        }
-    }
-
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         if !self.streaming {
             return self.analyze(machine, profile);
@@ -751,8 +728,8 @@ impl AnalysisSink for LatencySink {
 }
 
 /// One shard's latency histograms (see [`LatencySink`]). Histogram buckets
-/// are exact counters, so the shard merge is bit-identical to the serial
-/// fold in any order.
+/// are exact counters, so the shard merge is bit-identical to one fold over
+/// the whole stream, in any order.
 struct LatencyShard {
     profile: LatencyProfile,
 }
@@ -786,9 +763,8 @@ impl ShardableSink for LatencySink {
     }
 }
 
-/// The sinks the session registers by default for `config`, mirroring the
-/// behaviour of the historical `Profiler`: capacity when RSS tracking is on,
-/// bandwidth when bandwidth tracking is on. Region attribution and latency
+/// The sinks the session registers by default for `config`: capacity when
+/// RSS tracking is on, bandwidth when bandwidth tracking is on. Region attribution and latency
 /// histograms are *not* default sinks — they stay lazy via
 /// [`Profile::regions`] / [`Profile::latency`] (many callers, e.g. the
 /// sensitivity sweeps, never read them and should not pay the per-sample
@@ -910,22 +886,57 @@ mod tests {
         }
     }
 
+    /// Stream `batches` into `sink` the way a session does: one
+    /// [`SinkShard`] per shard (SPE batches routed by core, core-less ones
+    /// round-robin so the merge is exercised too), each of `closes` closed
+    /// on every shard and merged via [`merge_window_states`], then the final
+    /// states merged in ascending shard order.
+    fn stream_through_shards(
+        sink: &mut dyn AnalysisSink,
+        ctx: &StreamContext,
+        shards: usize,
+        batches: &[SampleBatch],
+        closes: &[Window],
+    ) {
+        sink.on_stream_start(ctx);
+        let shardable = sink.as_shardable().expect("a shardable sink");
+        let mut workers: Vec<Box<dyn SinkShard>> =
+            (0..shards).map(|shard| shardable.make_shard(shard, ctx)).collect();
+        for (i, batch) in batches.iter().enumerate() {
+            workers[batch.core.unwrap_or(i) % shards].on_batch(batch);
+        }
+        for &window in closes {
+            let states: Vec<(usize, ShardState)> = workers
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(shard, worker)| Some((shard, worker.on_window_close(window)?)))
+                .collect();
+            merge_window_states(sink, window, states);
+        }
+        let states = workers.into_iter().map(|worker| worker.finish()).collect();
+        sink.as_shardable().expect("a shardable sink").merge_final(states);
+    }
+
     #[test]
     fn capacity_sink_merges_rss_batches_incrementally() {
         let machine = Machine::new(MachineConfig::small_test());
         let mut profile = Profile::empty("t", NmoConfig::default());
         profile.elapsed_ns = 4_000;
         let mut sink = CapacitySink::new(4);
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (i, rss) in [(0u64, 1u64 << 20), (1, 3 << 20), (2, 2 << 20)] {
-            sink.on_batch(&SampleBatch::new(
-                "machine",
-                None,
-                clock.window(i),
-                BatchPayload::Rss { points: vec![arch_sim::RssPoint::flat(i * 1000, rss)] },
-            ));
-        }
+        let batches: Vec<SampleBatch> = [(0u64, 1u64 << 20), (1, 3 << 20), (2, 2 << 20)]
+            .into_iter()
+            .map(|(i, rss)| {
+                SampleBatch::new(
+                    "machine",
+                    None,
+                    clock.window(i),
+                    BatchPayload::Rss { points: vec![arch_sim::RssPoint::flat(i * 1000, rss)] },
+                )
+            })
+            .collect();
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        stream_through_shards(&mut sink, &ctx, 2, &batches, &[]);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Capacity(c) => {
@@ -947,7 +958,6 @@ mod tests {
         let mut profile = Profile::empty("t", NmoConfig::default());
         profile.counters.flops = 1 << 20;
         let mut sink = BandwidthSink::new();
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
         let bp = |time_ns: u64, bytes: u64| {
             let mut by_node = [0u64; MAX_MEM_NODES];
@@ -961,17 +971,19 @@ mod tests {
         };
         // Two deliveries into bucket 0 (one of them mid-bucket, i.e. not
         // aligned to a bucket boundary) plus one into bucket 2.
-        for (seq, points) in [
+        // The two bucket-0 deliveries land on different shards, so the
+        // per-bucket sum is completed by the shard merge.
+        let batches: Vec<SampleBatch> = [
             (0u64, vec![bp(0, 1 << 20)]),
             (1, vec![bp(bucket_ns / 2, 1 << 20), bp(2 * bucket_ns, 1 << 21)]),
-        ] {
-            sink.on_batch(&SampleBatch::new(
-                "machine",
-                None,
-                clock.window(seq),
-                BatchPayload::Bandwidth { points },
-            ));
-        }
+        ]
+        .into_iter()
+        .map(|(seq, points)| {
+            SampleBatch::new("machine", None, clock.window(seq), BatchPayload::Bandwidth { points })
+        })
+        .collect();
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        stream_through_shards(&mut sink, &ctx, 2, &batches, &[]);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Bandwidth(b) => {
@@ -1006,28 +1018,30 @@ mod tests {
         annotations.tag_addr("obj", 0x1000, 0x2000);
         profile.tags = annotations.tags();
         let mut sink = RegionSink::new();
-        sink.on_stream_start(&stream_ctx(annotations.clone()));
         let clock = crate::stream::WindowClock::new(1000);
-        sink.on_batch(&SampleBatch::new(
-            "spe",
-            None,
-            clock.window(0),
-            BatchPayload::SpeSamples {
-                samples: vec![mk_sample(10, 0x1100), mk_sample(20, 0x9000)],
-                loss: Default::default(),
-            },
-        ));
-        sink.on_window_close(clock.window(0));
-        // A window that never closes is still merged at finish.
-        sink.on_batch(&SampleBatch::new(
-            "spe",
-            None,
-            clock.window(1),
-            BatchPayload::SpeSamples {
-                samples: vec![mk_sample(1500, 0x1200)],
-                loss: Default::default(),
-            },
-        ));
+        let batches = [
+            SampleBatch::new(
+                "spe",
+                None,
+                clock.window(0),
+                BatchPayload::SpeSamples {
+                    samples: vec![mk_sample(10, 0x1100), mk_sample(20, 0x9000)],
+                    loss: Default::default(),
+                },
+            ),
+            // Window 1 never closes; it is still merged at finish.
+            SampleBatch::new(
+                "spe",
+                None,
+                clock.window(1),
+                BatchPayload::SpeSamples {
+                    samples: vec![mk_sample(1500, 0x1200)],
+                    loss: Default::default(),
+                },
+            ),
+        ];
+        let ctx = stream_ctx(annotations.clone());
+        stream_through_shards(&mut sink, &ctx, 2, &batches, &[clock.window(0)]);
         let report = sink.finish(&machine, &profile).unwrap();
         match report {
             AnalysisReport::Regions(r) => {
@@ -1071,18 +1085,23 @@ mod tests {
             other => panic!("expected latency report, got {other:?}"),
         };
 
-        // Streaming path: batches in arbitrary chunks.
+        // Streaming path: batches in arbitrary chunks, spread over shards.
         let mut sink = LatencySink::new();
-        sink.on_stream_start(&stream_ctx(Arc::new(Annotations::new())));
         let clock = crate::stream::WindowClock::new(1000);
-        for (seq, chunk) in samples.chunks(17).enumerate() {
-            sink.on_batch(&SampleBatch::new(
-                "spe",
-                None,
-                clock.window(seq as u64),
-                BatchPayload::SpeSamples { samples: chunk.to_vec(), loss: Default::default() },
-            ));
-        }
+        let batches: Vec<SampleBatch> = samples
+            .chunks(17)
+            .enumerate()
+            .map(|(seq, chunk)| {
+                SampleBatch::new(
+                    "spe",
+                    None,
+                    clock.window(seq as u64),
+                    BatchPayload::SpeSamples { samples: chunk.to_vec(), loss: Default::default() },
+                )
+            })
+            .collect();
+        let ctx = stream_ctx(Arc::new(Annotations::new()));
+        stream_through_shards(&mut sink, &ctx, 3, &batches, &[]);
         let empty_profile = Profile::empty("t", NmoConfig::default());
         let streamed = match sink.finish(&machine, &empty_profile).unwrap() {
             AnalysisReport::Latency(l) => l,
@@ -1095,8 +1114,9 @@ mod tests {
     }
 
     /// Feeding the same batch stream through N sink shards (partitioned by
-    /// core) and merging in shard order must reproduce the serial sink's
-    /// report — the `ShardableSink` contract for every standard sink.
+    /// core) and merging in shard order must reproduce the post-hoc report
+    /// over the same samples — the `ShardableSink` contract for every
+    /// standard sink.
     #[test]
     fn sharded_sinks_merge_to_the_serial_reports() {
         let machine = Machine::new(MachineConfig::small_test());
@@ -1138,25 +1158,19 @@ mod tests {
             }
         }
 
-        let profile = Profile::empty("t", NmoConfig::default());
-
-        // Serial reference.
-        let mut serial = RegionSink::new();
-        serial.on_stream_start(&ctx);
-        let mut serial_lat = LatencySink::new();
-        serial_lat.on_stream_start(&ctx);
+        // Post-hoc reference: `analyze` over the same samples.
+        let mut profile = Profile::empty("t", NmoConfig::default());
+        profile.tags = annotations.tags();
         for b in &batches {
-            serial.on_batch(b);
-            serial_lat.on_batch(b);
+            if let BatchPayload::SpeSamples { samples, .. } = b.payload() {
+                profile.samples.extend_from_slice(samples);
+            }
         }
-        for w in 0..12u64 {
-            serial.on_window_close(clock.window(w));
-        }
-        let serial_regions = match serial.finish(&machine, &profile).unwrap() {
+        let post_hoc_regions = match RegionSink::new().analyze(&machine, &profile).unwrap() {
             AnalysisReport::Regions(r) => r,
             other => panic!("expected regions, got {other:?}"),
         };
-        let serial_latency = match serial_lat.finish(&machine, &profile).unwrap() {
+        let post_hoc_latency = match LatencySink::new().analyze(&machine, &profile).unwrap() {
             AnalysisReport::Latency(l) => l,
             other => panic!("expected latency, got {other:?}"),
         };
@@ -1194,15 +1208,15 @@ mod tests {
             other => panic!("expected latency, got {other:?}"),
         };
 
-        assert_eq!(sharded_latency, serial_latency, "histogram merge is exact");
-        assert_eq!(sharded_regions.per_tag, serial_regions.per_tag);
-        assert_eq!(sharded_regions.per_phase, serial_regions.per_phase);
-        assert_eq!(sharded_regions.untagged_samples, serial_regions.untagged_samples);
-        assert_eq!(sharded_regions.scatter.len(), serial_regions.scatter.len());
+        assert_eq!(sharded_latency, post_hoc_latency, "histogram merge is exact");
+        assert_eq!(sharded_regions.per_tag, post_hoc_regions.per_tag);
+        assert_eq!(sharded_regions.per_phase, post_hoc_regions.per_phase);
+        assert_eq!(sharded_regions.untagged_samples, post_hoc_regions.untagged_samples);
+        assert_eq!(sharded_regions.scatter.len(), post_hoc_regions.scatter.len());
     }
 
     /// A legacy sink (no `as_shardable` override) reports `None` — the
-    /// serial-fallback marker the session keys off.
+    /// legacy-adapter marker the session keys off.
     #[test]
     fn legacy_sinks_are_not_shardable() {
         struct Legacy;

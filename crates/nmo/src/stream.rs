@@ -376,8 +376,8 @@ impl EventBus {
     /// Producer side: enqueue an event. Returns `false` when the event was
     /// dropped (bus full under [`BackpressurePolicy::DropNewest`], or bus
     /// closed). A [`BackpressurePolicy::Block`] wait relies on the consumer
-    /// always draining the bus — the session's consumer thread guarantees
-    /// this even when a sink panics (see `consumer_loop`).
+    /// always draining the bus — the session's shard consumers guarantee
+    /// this even when a sink panics (see `shard_consumer_loop`).
     pub fn publish(&self, event: BusEvent) -> bool {
         let is_batch = matches!(event, BusEvent::Batch(_));
         let items = match &event {
@@ -773,9 +773,10 @@ pub struct StreamOptions {
     /// Number of pipeline shards (pump workers, bus lanes, and shard
     /// consumers). `0` (the default) resolves to
     /// `min(profiled cores, available_parallelism)` at session start; `1`
-    /// runs the classic serial pipeline. Explicit values are clamped to the
-    /// profiled core count — extra shards would own zero cores and lanes
-    /// with no producer (see [`StreamStats::shards_requested`]).
+    /// runs the same pipeline at width one (a single coordinator worker
+    /// drains every backend onto one lane). Explicit values are clamped to
+    /// the profiled core count — extra shards would own zero cores and
+    /// lanes with no producer (see [`StreamStats::shards_requested`]).
     pub shards: usize,
     /// Adaptive controller configuration: `Some` lets the pipeline tune its
     /// own active shard count, drain cadence, and backpressure policy at
@@ -813,8 +814,8 @@ pub struct StreamStats {
     pub late_batches: u64,
     /// Highest bus occupancy observed (worst single lane when sharded).
     pub bus_high_watermark: u64,
-    /// Number of pipeline shards the run allocated (1 = the serial
-    /// pipeline), after clamping to the profiled core count.
+    /// Number of pipeline shards the run allocated, after clamping to the
+    /// profiled core count.
     pub shards: u64,
     /// Shard count the caller asked for via [`StreamOptions::shards`]
     /// before resolution/clamping (`0` = auto). Differs from `shards` when
@@ -874,8 +875,8 @@ pub struct ShardSummary {
 pub struct StreamSnapshot {
     /// Per-window accounting, ascending by window index.
     pub windows: Vec<WindowSummary>,
-    /// Per-shard accounting, ascending by shard index (one entry when the
-    /// pipeline runs serially).
+    /// Per-shard accounting, ascending by shard index (one entry at one
+    /// shard).
     pub per_shard: Vec<ShardSummary>,
     /// Windows closed so far.
     pub windows_closed: u64,

@@ -15,9 +15,10 @@
 //!
 //! * **Streaming** — register the tracker as an analysis sink
 //!   ([`crate::session::ProfileSessionBuilder::sink`]); during a
-//!   [`crate::session::ProfileSession::run_streaming`] run it consumes
-//!   batches on the consumer thread and applies decisions whenever the
-//!   producer watermark closes a window.
+//!   [`crate::session::ProfileSession::run_streaming`] run its shard
+//!   workers digest batches on the shard consumers, and the tracker merges
+//!   their digests and applies decisions whenever the producer watermark
+//!   closes a window.
 //! * **Manual / deterministic** — drive the workload in chunks and call
 //!   [`crate::session::ActiveSession::tiering_step`] between them; drains,
 //!   window closes, and migrations then happen at fixed points of the
@@ -412,10 +413,11 @@ const EVICT_HEAT: f64 = 1.0 / 64.0;
 
 /// The hot-page streaming aggregator and actuator (see the module docs).
 ///
-/// As an [`AnalysisSink`] it consumes `SpeSamples` batches, decays its
-/// per-page counters at every window close, asks its [`TieringPolicy`] for
-/// decisions, and — when a machine handle is available (always, on a
-/// streaming session) — applies them via [`Machine::migrate_page`]. On the
+/// As an [`AnalysisSink`] its shard workers digest `SpeSamples` batches per
+/// window; at every window close the tracker merges the shards' digests,
+/// asks its [`TieringPolicy`] for decisions, applies them — when a machine
+/// handle is available (always, on a streaming session) — via
+/// [`Machine::migrate_page`], and decays its per-page counters. On the
 /// manual path, [`crate::session::ActiveSession::tiering_step`] drives the
 /// same state machine synchronously.
 pub struct HotPageTracker {
@@ -746,7 +748,7 @@ impl SinkShard for TrackerShard {
 impl HotPageTracker {
     /// Merge one digest into the tracker's live per-page state (pinned
     /// homes override the digest's tier view, exactly like
-    /// [`HotPageTracker::observe`] does on the serial path).
+    /// [`HotPageTracker::observe`] does on the manual path).
     fn absorb_digest(&mut self, digest: TrackerDigest) {
         for (page_addr, delta) in digest.pages {
             let entry = self.pages.entry(page_addr).or_insert_with(|| {
@@ -832,15 +834,6 @@ impl AnalysisSink for HotPageTracker {
             self.page_bytes = ctx.page_bytes;
             self.configured = true;
         }
-    }
-
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        self.ingest(batch);
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        let machine = self.machine.clone();
-        self.close_window(window, machine.as_deref());
     }
 
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {

@@ -91,8 +91,8 @@ use spe::SpeStatsSnapshot;
 use crate::config::NmoConfig;
 use crate::runtime::{AddressSample, Profile};
 use crate::sink::{
-    AnalysisRecord, AnalysisReport, AnalysisSink, ShardState, ShardableSink, SinkShard,
-    StreamContext,
+    merge_window_states, AnalysisRecord, AnalysisReport, AnalysisSink, ShardState, ShardableSink,
+    SinkShard, StreamContext,
 };
 use crate::stream::{BatchPayload, BatchPool, SampleBatch, Window, WindowClock};
 use crate::NmoError;
@@ -938,12 +938,12 @@ impl Default for Geometry {
 
 /// Records a streaming run into an on-disk trace directory.
 ///
-/// Register it on a session like any other sink; under the sharded pipeline
-/// it is a [`ShardableSink`] whose shards each append to their own segment
-/// file (no cross-shard lock on the hot path), and under the serial
-/// consumer it writes a single-segment trace. [`AnalysisSink::finish`]
-/// finalises the segments and writes the manifest; the returned
-/// [`AnalysisReport::Text`] summarises what was stored.
+/// Register it on a session like any other sink: it is a [`ShardableSink`]
+/// whose shards each append to their own segment file (no cross-shard lock
+/// on the hot path), so a streaming run stores one segment per pipeline
+/// shard. [`AnalysisSink::finish`] finalises the segments and writes the
+/// manifest; the returned [`AnalysisReport::Text`] summarises what was
+/// stored.
 ///
 /// ```no_run
 /// use nmo::trace::TraceWriterSink;
@@ -966,8 +966,6 @@ pub struct TraceWriterSink {
     posthoc_window_ns: u64,
     geometry: Geometry,
     streamed: bool,
-    sharded: bool,
-    serial: Option<SegmentWriter>,
     summaries: Vec<SegmentSummary>,
     error: Option<String>,
 }
@@ -981,8 +979,6 @@ impl TraceWriterSink {
             posthoc_window_ns: 100_000,
             geometry: Geometry::default(),
             streamed: false,
-            sharded: false,
-            serial: None,
             summaries: Vec::new(),
             error: None,
         }
@@ -1004,19 +1000,6 @@ impl TraceWriterSink {
         if self.error.is_none() {
             self.error = Some(e.to_string());
         }
-    }
-
-    /// The serial-path segment writer, created on first use.
-    fn serial_writer(&mut self) -> Option<&mut SegmentWriter> {
-        if self.serial.is_none() && self.error.is_none() {
-            match fs::create_dir_all(&self.dir)
-                .and_then(|()| SegmentWriter::create(&self.dir, 0, Arc::clone(&self.pool)))
-            {
-                Ok(w) => self.serial = Some(w),
-                Err(e) => self.record_error(format!("cannot open segment 0: {e}")),
-            }
-        }
-        self.serial.as_mut()
     }
 
     fn write_manifest(&self) -> Result<(), NmoError> {
@@ -1105,41 +1088,9 @@ impl AnalysisSink for TraceWriterSink {
         }
     }
 
-    /// Serial-path recording (the sharded path goes through
-    /// [`ShardableSink::make_shard`] instead).
-    fn on_batch(&mut self, batch: &SampleBatch) {
-        if self.sharded {
-            return;
-        }
-        if let Some(w) = self.serial_writer() {
-            if let Err(e) = w.append_batch(batch) {
-                self.serial = None;
-                self.record_error(format!("segment write failed: {e}"));
-            }
-        }
-    }
-
-    fn on_window_close(&mut self, window: Window) {
-        if self.sharded {
-            return;
-        }
-        if let Some(w) = self.serial_writer() {
-            if let Err(e) = w.append_close(window) {
-                self.serial = None;
-                self.record_error(format!("segment write failed: {e}"));
-            }
-        }
-    }
-
     fn finish(&mut self, machine: &Machine, profile: &Profile) -> Result<AnalysisReport, NmoError> {
         if !self.streamed && self.summaries.is_empty() {
             return self.analyze(machine, profile);
-        }
-        if let Some(w) = self.serial.take() {
-            match w.finish() {
-                Ok(s) => self.summaries.push(s),
-                Err(e) => self.record_error(format!("segment finalise failed: {e}")),
-            }
         }
         let shard_errors: Vec<String> =
             self.summaries.iter().filter_map(|s| s.error.clone()).collect();
@@ -1149,7 +1100,6 @@ impl AnalysisSink for TraceWriterSink {
         if let Some(e) = &self.error {
             return Err(NmoError::sink("trace-writer", e.clone()));
         }
-        self.summaries.sort_by_key(|s| s.shard);
         self.write_manifest()?;
         Ok(self.summary_report())
     }
@@ -1161,7 +1111,6 @@ impl AnalysisSink for TraceWriterSink {
 
 impl ShardableSink for TraceWriterSink {
     fn make_shard(&mut self, shard: usize, _ctx: &StreamContext) -> Box<dyn SinkShard> {
-        self.sharded = true;
         let writer = fs::create_dir_all(&self.dir)
             .and_then(|()| SegmentWriter::create(&self.dir, shard, Arc::clone(&self.pool)));
         match writer {
@@ -1684,11 +1633,8 @@ fn merge_closed_window(
             Some(_) => {
                 let complete = pend.get(&w.index).is_some_and(|(_, states)| states.len() == shards);
                 if complete {
-                    if let Some((win, mut states)) = pend.remove(&w.index) {
-                        states.sort_by_key(|(shard, _)| *shard);
-                        if let Some(sh) = sink.as_shardable() {
-                            sh.merge_window(win, states.into_iter().map(|(_, s)| s).collect());
-                        }
+                    if let Some((win, states)) = pend.remove(&w.index) {
+                        merge_window_states(sink.as_mut(), win, states);
                     }
                 }
             }
@@ -1947,13 +1893,12 @@ impl TraceReader {
         }
         stats.windows = close_counts.values().filter(|&&n| n == shards).count() as u64;
         for (sink, (pend, mut ws)) in sinks.iter_mut().zip(per_sink.into_iter().zip(workers)) {
-            if let Some(sh) = sink.as_shardable() {
-                for (_, (window, mut states)) in pend {
-                    if states.len() == shards {
-                        states.sort_by_key(|(shard, _)| *shard);
-                        sh.merge_window(window, states.into_iter().map(|(_, s)| s).collect());
-                    }
+            for (_, (window, states)) in pend {
+                if states.len() == shards {
+                    merge_window_states(sink.as_mut(), window, states);
                 }
+            }
+            if let Some(sh) = sink.as_shardable() {
                 ws.sort_by_key(|(shard, _)| *shard);
                 sh.merge_final(ws.into_iter().map(|(_, w)| w.finish()).collect());
             }

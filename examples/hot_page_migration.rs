@@ -23,7 +23,7 @@
 //! and asserts the headline result: once the hot pages are local, the
 //! remote link decongests and the settled remote-DRAM p99 drops below the
 //! `NoMigration` level, toward the local tier. A final streaming run
-//! (tracker registered as a sink, migrating from the consumer thread
+//! (tracker registered as a sink, migrating at each per-window shard merge
 //! mid-run) verifies streaming==post-hoc sink equivalence with migrations
 //! active.
 //!
