@@ -1,7 +1,8 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--exp all|table1|table2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11]
+//! repro [--exp all|table1|table2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11
+//!             |bench_stream|bench_trace]
 //!       [--quick|--full|--tiny] [--out results/]
 //! ```
 //!
@@ -13,7 +14,7 @@ use std::path::{Path, PathBuf};
 use nmo::NmoError;
 use nmo_bench::experiments::{self, ExperimentResult};
 use nmo_bench::harness::Scale;
-use nmo_bench::{stream_adaptive, stream_throughput, trace_bench};
+use nmo_bench::{stream_throughput, trace_bench};
 
 struct Args {
     exp: String,
@@ -48,7 +49,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: repro [--exp <id|all>] [--quick|--full|--tiny] [--out <dir>]\n\
                      experiments: table1 table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 \
-                     fig11 bench_stream bench_stream_adaptive bench_trace"
+                     fig11 bench_stream bench_trace"
                 );
                 std::process::exit(0);
             }
@@ -75,7 +76,6 @@ const EXPERIMENT_IDS: &[&str] = &[
     "fig10",
     "fig11",
     "bench_stream",
-    "bench_stream_adaptive",
     "bench_trace",
 ];
 
@@ -165,32 +165,6 @@ fn run(args: &Args) -> Result<(), NmoError> {
         match stream_throughput::write_bench_stream_json(&points, &args.out) {
             Ok(path) => println!("  -> wrote {path}\n"),
             Err(e) => eprintln!("  !! failed to write BENCH_stream.json: {e}"),
-        }
-    }
-    if wants(exp, &["bench_stream_adaptive"]) {
-        // Adaptive controller vs the static shard sweep at the 128-core
-        // configuration; writes BENCH_stream_adaptive.json with the
-        // best-adaptive / best-static headline ratio.
-        let records_per_core = match args.scale_name {
-            "tiny" => 2_000,
-            "full" => 32_768,
-            _ => 8_192,
-        };
-        let (static_points, adaptive_points) =
-            stream_adaptive::adaptive_sweep(128, &[1, 2, 4, 8], records_per_core);
-        emit(vec![stream_adaptive::to_experiment(&static_points, &adaptive_points)], &args.out, 20);
-        if let Some(ratio) =
-            stream_adaptive::adaptive_vs_best_static(&static_points, &adaptive_points)
-        {
-            println!("  adaptive vs best static: {ratio:.3}x\n");
-        }
-        match stream_adaptive::write_bench_stream_adaptive_json(
-            &static_points,
-            &adaptive_points,
-            &args.out,
-        ) {
-            Ok(path) => println!("  -> wrote {path}\n"),
-            Err(e) => eprintln!("  !! failed to write BENCH_stream_adaptive.json: {e}"),
         }
     }
     if wants(exp, &["bench_trace"]) {

@@ -29,7 +29,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod stream_adaptive;
 pub mod stream_throughput;
 pub mod trace_bench;
 

@@ -134,7 +134,7 @@ pub(crate) fn pump_core_chunk(
 }
 
 /// Run one configuration end to end and measure it.
-pub(crate) fn run_config(cores: usize, shards: usize, records_per_core: usize) -> StreamBenchPoint {
+fn run_config(cores: usize, shards: usize, records_per_core: usize) -> StreamBenchPoint {
     // Encode the input outside the measured section.
     let encoded: Vec<Vec<u8>> = (0..cores).map(|c| encode_core(c, records_per_core)).collect();
     let encoded = Arc::new(encoded);

@@ -121,10 +121,6 @@ pub use sink::{
     AnalysisRecord, AnalysisReport, AnalysisSink, BandwidthSink, CapacitySink, LatencySink,
     RegionSink, ShardState, ShardableSink, SinkShard, StreamContext,
 };
-pub use stream::adaptive::{
-    AdaptiveController, AdaptiveDecision, AdaptiveOptions, AdaptiveRuntime, ControlAction,
-    ControlSample, SlidingWindow,
-};
 pub use stream::{
     BackpressurePolicy, BatchPayload, BatchPool, BusStats, CounterDelta, EventBus, PoolStats,
     SampleBatch, ShardSummary, ShardedBus, StreamOptions, StreamSnapshot, StreamStats, Window,

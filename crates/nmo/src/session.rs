@@ -51,7 +51,6 @@ use crate::sink::{
     default_sinks, merge_window_states, run_sinks, AnalysisSink, ShardState, SinkShard,
     StreamContext,
 };
-use crate::stream::adaptive::AdaptiveRuntime;
 use crate::stream::{
     BatchPayload, BatchPool, BusEvent, BusRecv, EventBus, SampleBatch, ShardedBus, SnapshotState,
     StreamOptions, StreamSnapshot, StreamSource, StreamStats, WindowClock,
@@ -366,11 +365,8 @@ impl ProfileSession {
     /// core sets onto N bus lanes, N shard consumers running [`SinkShard`]
     /// workers, and a deterministic (shard-index-ordered) merge back into the
     /// registered sinks. One shard is the same pipeline at width one — the
-    /// coordinator worker then drains every backend itself. With
-    /// [`StreamOptions::adaptive`] set, an
-    /// [`crate::stream::adaptive::AdaptiveController`] additionally tunes
-    /// the *active* shard count, drain cadence, and backpressure policy at
-    /// runtime.
+    /// coordinator worker then drains every backend itself. The width,
+    /// drain cadence and backpressure policy stay fixed for the whole run.
     pub fn start_streaming(self) -> Result<ActiveSession, NmoError> {
         let opts = self.stream_options.clone();
         let requested_shards = opts.shards;
@@ -394,21 +390,6 @@ impl ProfileSession {
         };
 
         let bus = ShardedBus::new(shards, opts.bus_capacity, opts.backpressure);
-        // The adaptive controller tunes the *active* width within the
-        // allocated shards; its initial width applies before any worker
-        // spawns so the first routed batch already respects it.
-        let adaptive = opts.adaptive.as_ref().map(|a| {
-            AdaptiveRuntime::new(
-                a.clone(),
-                shards,
-                opts.poll_interval,
-                opts.backpressure,
-                CONSUMER_RECV_TIMEOUT,
-            )
-        });
-        if let Some(rt) = &adaptive {
-            bus.set_active_lanes(rt.active());
-        }
         let pool = BatchPool::new((opts.bus_capacity * shards).clamp(64, 4096));
         let stop = Arc::new(AtomicBool::new(false));
         let snapshot = Arc::new(Mutex::named(SnapshotState::default(), "session.snapshot"));
@@ -489,22 +470,9 @@ impl ProfileSession {
         let final_round = Arc::new(AtomicBool::new(false));
         let workers_done = Arc::new(AtomicUsize::new(0));
 
-        // Shard `s`'s drainers live in shared slot `s` instead of being
-        // owned by worker `s`: at active width `k`, worker `w < k`
-        // drains every slot `s` with `s % k == w`, so parked workers'
-        // cores keep flowing through the active ones (at full width the
-        // assignment is the identity and each worker only ever touches
-        // its own slot).
-        let slots: Arc<DrainerSlots> = Arc::new(
-            per_shard_drainers
-                .into_iter()
-                .map(|drainers| Mutex::named(drainers, "session.drainers"))
-                .collect(),
-        );
-
         let mut pumps = Vec::with_capacity(shards);
         let mut backends_slot = Some((backends, classic));
-        for shard in 0..shards {
+        for (shard, drainers) in per_shard_drainers.into_iter().enumerate() {
             // The coordinator (shard 0) owns the backends: it drains the
             // non-shardable ones, runs the machine probes, and drives
             // the stop sequence.
@@ -513,7 +481,7 @@ impl ProfileSession {
                 shard,
                 machine: active.session.machine.clone(),
                 backends: owned,
-                slots: slots.clone(),
+                drainers,
                 bus: bus.clone(),
                 coordinator: coordinator.clone(),
                 stop: stop.clone(),
@@ -522,7 +490,6 @@ impl ProfileSession {
                 total_workers: shards,
                 pool: pool.clone(),
                 opts: opts.clone(),
-                adaptive: adaptive.clone(),
             };
             pumps.push(std::thread::spawn(move || worker.run()));
         }
@@ -533,9 +500,8 @@ impl ProfileSession {
             let merger = merger.clone();
             let snapshot = snapshot.clone();
             let pool = pool.clone();
-            let adaptive = adaptive.clone();
             consumers.push(std::thread::spawn(move || {
-                shard_consumer_loop(shard, shards, lane, workers, merger, snapshot, pool, adaptive)
+                shard_consumer_loop(shard, shards, lane, workers, merger, snapshot, pool)
             }));
         }
 
@@ -548,7 +514,6 @@ impl ProfileSession {
             merger,
             shards,
             requested_shards,
-            adaptive,
         });
         Ok(active)
     }
@@ -610,17 +575,8 @@ type ShardWorkerSet = Vec<Option<Box<dyn SinkShard>>>;
 /// marking which of them it drains classically (no shard workers).
 type CoordinatorBackends = (Vec<Box<dyn SampleBackend>>, Vec<bool>);
 
-/// The shared drain-slot table of a streaming session: slot `s` holds shard
-/// `s`'s [`ShardDrainer`]s. At active width `k`, pump worker `w < k` drains
-/// every slot `s` with `s % k == w`; workers `w ≥ k` are parked. The
-/// per-slot mutex makes the hand-off across a width change safe — two
-/// workers transiently covering the same slot just drain it twice, and a
-/// drain takes whatever the backend store holds (possibly nothing).
-type DrainerSlots = Vec<Mutex<Vec<Box<dyn ShardDrainer>>>>;
-
 /// How long a shard consumer waits on its lane before re-checking for
-/// shutdown — also what one consumer idle tick is worth to the adaptive
-/// controller's idle estimate.
+/// shutdown.
 const CONSUMER_RECV_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Sinks plus in-flight per-window shard states, shared between the shard
@@ -650,8 +606,6 @@ struct StreamingState {
     shards: usize,
     /// Shard count the caller configured (0 = auto).
     requested_shards: usize,
-    /// The adaptive controller, when the session runs adaptively.
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
 /// A session that is actively collecting.
@@ -721,17 +675,10 @@ impl ActiveSession {
     /// session.
     pub fn poll_snapshot(&self) -> Option<StreamSnapshot> {
         self.streaming.as_ref().map(|s| {
-            // Read the controller state before taking the snapshot mutex:
-            // `decisions()` locks the controller, and nesting it under
-            // `session.snapshot` would add a needless lock-order edge.
-            let decisions = s.adaptive.as_ref().map(|a| a.decisions()).unwrap_or_default();
-            let active_shards = s.bus.active_lanes();
             s.snapshot.lock().snapshot(
                 s.bus.stats(),
                 &s.bus.lane_stats(),
                 self.session.machine.migration_stats(),
-                active_shards,
-                decisions,
             )
         })
     }
@@ -882,10 +829,6 @@ impl ActiveSession {
                     return Err(NmoError::sink("stream-consumer", "consumer thread panicked"));
                 }
                 pump_result?;
-                // Controller state first, for the same lock-order reason as
-                // in `poll_snapshot`.
-                let adaptive_decisions =
-                    streaming.adaptive.as_ref().map(|a| a.decisions_total()).unwrap_or(0);
                 let state = streaming.snapshot.lock();
                 let bus = streaming.bus.stats();
                 stream_stats = Some(StreamStats {
@@ -897,8 +840,6 @@ impl ActiveSession {
                     bus_high_watermark: bus.high_watermark,
                     shards: streaming.shards as u64,
                     shards_requested: streaming.requested_shards as u64,
-                    active_shards: streaming.bus.active_lanes() as u64,
-                    adaptive_decisions,
                 });
             }
             None => {
@@ -1071,23 +1012,20 @@ fn publish_batch(batch: SampleBatch, bus: &ShardedBus, coordinator: &Mutex<Close
 
 /// One pump worker of the streaming pipeline. The worker for shard 0 is the
 /// *coordinator*: it owns the backends (draining the non-shardable ones),
-/// runs the machine probes, closes ready windows, runs the adaptive
-/// controller, and drives the shutdown sequence — stop the backends, signal
-/// the final drain round, wait for every worker's final publish, deliver
-/// the bandwidth series, close the remaining windows, and close every lane.
-/// The other workers drain their share of the [`DrainerSlots`] table and
-/// publish onto the bus; on an adaptive session a worker whose index is at
-/// or beyond the active width is *parked* — it skips draining (its slots
-/// are covered by the active workers) and just sleeps until widened back in
-/// or until shutdown.
+/// runs the machine probes, closes ready windows, and drives the shutdown
+/// sequence — stop the backends, signal the final drain round, wait for
+/// every worker's final publish, deliver the bandwidth series, close the
+/// remaining windows, and close every lane. Every worker, the coordinator
+/// included, drains its own shard's [`ShardDrainer`]s and publishes onto
+/// the bus.
 struct PumpWorker {
     shard: usize,
     machine: Arc<Machine>,
     /// `Some((backends, classic flags))` on the coordinator: `classic[i]`
     /// marks backends without shard workers, drained here.
     backends: Option<CoordinatorBackends>,
-    /// The shared drain-slot table (one slot per allocated shard).
-    slots: Arc<DrainerSlots>,
+    /// This shard's backend drain workers, owned outright.
+    drainers: Vec<Box<dyn ShardDrainer>>,
     bus: Arc<ShardedBus>,
     coordinator: Arc<Mutex<CloseCoordinator>>,
     stop: Arc<AtomicBool>,
@@ -1096,7 +1034,6 @@ struct PumpWorker {
     total_workers: usize,
     pool: Arc<BatchPool>,
     opts: StreamOptions,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 }
 
 impl PumpWorker {
@@ -1155,39 +1092,15 @@ impl PumpWorker {
             }
             let finishing = self.final_round.load(Ordering::Acquire);
 
-            // Active width this tick: every allocated worker on a static
-            // session, the controller's current width on an adaptive one.
-            // Workers at or beyond the width are parked — their slots are
-            // covered by the active set, so the data keeps flowing.
-            let active = match &self.adaptive {
-                Some(_) => self.bus.active_lanes(),
-                None => self.total_workers,
-            };
-            let parked = self.shard >= active;
-
             let clock = self.coordinator.lock().clock;
-            if !parked {
-                // Drain every slot this worker covers at the current width
-                // (`slot % active == shard`); at full width that is exactly
-                // its own slot. Workers racing a width change may cover a
-                // slot twice (harmless: the second drain finds the store
-                // empty) or skip it for one tick (it is covered again next
-                // tick, and the coordinator sweeps every slot at shutdown).
-                let mut slot = self.shard;
-                while slot < self.slots.len() {
-                    let mut drainers = self.slots[slot].lock();
-                    for drainer in drainers.iter_mut() {
-                        match drainer.drain(&self.machine, &clock, &self.pool) {
-                            Ok(batches) => {
-                                for batch in batches {
-                                    publish_batch(batch, &self.bus, &self.coordinator);
-                                }
-                            }
-                            Err(e) => record(e, &mut result),
+            for drainer in self.drainers.iter_mut() {
+                match drainer.drain(&self.machine, &clock, &self.pool) {
+                    Ok(batches) => {
+                        for batch in batches {
+                            publish_batch(batch, &self.bus, &self.coordinator);
                         }
                     }
-                    drop(drainers);
-                    slot += active;
+                    Err(e) => record(e, &mut result),
                 }
             }
             if let Some((backends, classic)) = self.backends.as_mut() {
@@ -1232,22 +1145,6 @@ impl PumpWorker {
                     #[allow(clippy::disallowed_methods)]
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                // Final sweep: whatever width changes raced the final
-                // round, drain every slot once more so no backend store
-                // retains data (re-draining an empty store is free).
-                for slot in self.slots.iter() {
-                    let mut drainers = slot.lock();
-                    for drainer in drainers.iter_mut() {
-                        match drainer.drain(&self.machine, &clock, &self.pool) {
-                            Ok(batches) => {
-                                for batch in batches {
-                                    publish_batch(batch, &self.bus, &self.coordinator);
-                                }
-                            }
-                            Err(e) => record(e, &mut result),
-                        }
-                    }
-                }
                 let bw = self.machine.bandwidth_series();
                 for (window, points) in clock.group_by_window(bw, |p| p.time_ns) {
                     publish_batch(
@@ -1268,23 +1165,12 @@ impl PumpWorker {
 
             if is_coordinator {
                 self.coordinator.lock().close_ready_windows(&self.bus);
-                // One control decision per control interval (rate-limited
-                // inside; a no-op between intervals).
-                if let Some(adaptive) = &self.adaptive {
-                    let _ = adaptive.control(&self.bus);
-                }
             }
             // Drain cadence: the workers sample the backends at the
             // configured wall-clock interval (nothing signals "new simulated
-            // work"); adaptive sessions follow the controller's current
-            // cadence.
-            let poll = self
-                .adaptive
-                .as_ref()
-                .map(|a| a.poll_interval())
-                .unwrap_or(self.opts.poll_interval);
+            // work").
             #[allow(clippy::disallowed_methods)]
-            std::thread::sleep(poll);
+            std::thread::sleep(self.opts.poll_interval);
         }
     }
 }
@@ -1301,7 +1187,6 @@ impl PumpWorker {
 /// joining it). Instead the panic is caught, the loop keeps draining
 /// (discarding) until the lane closes, and the panic is rethrown so the
 /// join in [`ActiveSession::finish`] surfaces it as an error.
-#[allow(clippy::too_many_arguments)] // thread spine wiring, built in one place
 fn shard_consumer_loop(
     shard: usize,
     shard_count: usize,
@@ -1310,7 +1195,6 @@ fn shard_consumer_loop(
     merger: Arc<Mutex<MergerState>>,
     snapshot: Arc<Mutex<SnapshotState>>,
     pool: Arc<BatchPool>,
-    adaptive: Option<Arc<AdaptiveRuntime>>,
 ) -> ShardWorkerSet {
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     loop {
@@ -1335,13 +1219,7 @@ fn shard_consumer_loop(
                     pool.recycle_batch(batch);
                 }
             }
-            BusRecv::TimedOut => {
-                // An empty-lane timeout is the consumer idle signal the
-                // adaptive controller's starvation rule runs on.
-                if let Some(adaptive) = &adaptive {
-                    adaptive.note_consumer_idle(shard);
-                }
-            }
+            BusRecv::TimedOut => {}
             BusRecv::Closed => match panic_payload {
                 Some(payload) => std::panic::resume_unwind(payload),
                 None => return workers,
