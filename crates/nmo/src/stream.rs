@@ -811,7 +811,10 @@ pub struct StreamSnapshot {
     pub batches: u64,
     /// SPE samples consumed so far.
     pub spe_samples: u64,
-    /// Latest cumulative hardware-counter totals seen.
+    /// Latest cumulative hardware-counter totals seen. While workload
+    /// engines are attached they lag by fewer than 4096 ops per attached
+    /// core (see [`crate::CounterBackend`]); the first counter drain after
+    /// the engines detach makes them exact.
     pub counter_totals: Vec<(String, u64)>,
     /// SPE samples consumed so far per data source, ascending by source —
     /// the live per-tier readout (how much traffic each cache level and

@@ -260,3 +260,66 @@ fn poll_snapshot_grows_monotonically_during_the_run() {
     assert!(profile.capacity.peak_bytes > 0);
     assert!(profile.bandwidth.total_bytes > 0);
 }
+
+/// Counter totals: once the workload's engines have detached, every core's
+/// locally tallied counts are published, so the streamed counter totals
+/// reach the machine's own counters exactly, at one shard and at two. The
+/// counters-only run has no SPE drain flushing the observers mid-run, so
+/// there the detach alone must publish the last counts.
+#[test]
+fn streamed_counter_totals_are_exact_once_engines_detach() {
+    let counters_only = NmoConfig { enabled: true, ..NmoConfig::default() };
+    for (config, shards) in [
+        (NmoConfig::paper_default(200), 1),
+        (NmoConfig::paper_default(200), 2),
+        (counters_only.clone(), 1),
+        (counters_only, 2),
+    ] {
+        let session = ProfileSession::builder()
+            .machine_config(MachineConfig::small_test())
+            .config(config)
+            .threads(2)
+            .stream_options(StreamOptions { window_ns: 50_000, shards, ..StreamOptions::default() })
+            .build()
+            .expect("session builds");
+        let mut workload = StreamBench::new(100_000, 2);
+        workload.setup(session.machine(), &session.annotations()).expect("setup");
+        let active = session.start_streaming().expect("start streaming");
+        workload.run(active.machine(), active.annotations_ref(), active.cores()).expect("run");
+        assert!(workload.verify(), "workload result corrupted");
+
+        let counters = active.machine().counters();
+        assert!(counters.mem_access > 0);
+        let expected = [
+            ("mem_access", counters.mem_access),
+            ("ld_retired", counters.loads),
+            ("st_retired", counters.stores),
+        ];
+        let total = |snapshot: &StreamSnapshot, event: &str| {
+            snapshot.counter_totals.iter().find(|(n, _)| n == event).map(|(_, v)| *v)
+        };
+        // The coordinator drains the counters on its own cadence; wait for
+        // the first drain after the detach, within a generous bound.
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        loop {
+            let snapshot = active.poll_snapshot().expect("streaming session snapshots");
+            if expected.iter().all(|&(event, want)| total(&snapshot, event) == Some(want)) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shards {shards}: streamed totals {:?} never reached {expected:?}",
+                snapshot.counter_totals
+            );
+            #[allow(clippy::disallowed_methods)] // test poll loop
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let profile = active.finish().expect("finish");
+        assert_eq!(profile.stream.as_ref().expect("stream stats").shards, shards as u64);
+        let mem = profile.perf_count("mem_access");
+        assert_eq!(mem, Some(profile.counters.mem_access), "shards {shards}");
+        let (ld, st) = (profile.perf_count("ld_retired"), profile.perf_count("st_retired"));
+        assert_eq!(ld.zip(st).map(|(l, s)| l + s), mem, "shards {shards}");
+    }
+}
